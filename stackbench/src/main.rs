@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path stackbench/Cargo.toml -- \
-//!     --workload qv_fig7 --seed 1 --seconds 20 --trace 0
+//!     --workload qv_fig7 --seed 1 --seconds 55 --trace 0
 //! ```
 //!
 //! Runs one seeded workload through the public entry points

@@ -1,5 +1,6 @@
 //! `service_mixed`: 16-request `compile_batch` calls on `nproc` workers,
-//! noise scheduling on, no optimizer. Each batch mixes circuits from a
+//! noise scheduling on, structural optimizer passes (`OptLevel::Light`:
+//! exact rewrites, no resynthesis). Each batch mixes circuits from a
 //! recurring pool of d=8 AshN circuits (~2048 classes, half the cache's
 //! default capacity) with fresh ones, so cache reads, writes and
 //! evictions all happen.
@@ -11,7 +12,7 @@ use crate::trace::Tracer;
 use crate::{Failure, Public, Quality, Unit, Workload};
 use ashn::ir::Circuit;
 use ashn::qv::ModelCircuit;
-use ashn::service::{CompileRequest, CompileService, ShardedCache};
+use ashn::service::{CompileRequest, CompileService, OptLevel, ShardedCache};
 use ashn::sim::trajectory::trajectory_probabilities_batched;
 use ashn::sim::NoiseModel;
 use ashn::synth::basis::AshnBasis;
@@ -33,7 +34,9 @@ fn ashn_basis() -> AshnBasis {
 }
 
 fn request(circuit: Circuit) -> CompileRequest {
-    CompileRequest::new(circuit).noise(QvNoise::with_e_cz(E_CZ))
+    CompileRequest::new(circuit)
+        .opt(OptLevel::Light)
+        .noise(QvNoise::with_e_cz(E_CZ))
 }
 
 pub struct ServiceMixed {
@@ -131,6 +134,16 @@ impl Workload for ServiceMixed {
                     "{label}: degraded to CNOT fallback"
                 ))),
                 Ok(out) => {
+                    if let (true, Some(stats)) = (traced, &out.opt_stats) {
+                        let p = &mut self.public;
+                        p.opt_compiles += 1;
+                        p.opt_iterations += stats.iterations as u64;
+                        p.opt_twoq_removed += stats.two_qubit_removed() as u64;
+                        for pass in &stats.passes {
+                            p.opt_runs += pass.runs as u64;
+                            p.opt_fired += pass.fired as u64;
+                        }
+                    }
                     if let Err(e) = verify(reference, &out.circuit, &out.positions) {
                         failures.push(Failure::Wrong(format!("{label}: {e}")));
                     }
