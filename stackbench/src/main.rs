@@ -14,7 +14,6 @@
 //! units and reports the per-layer metrics. See `stackbench/README.md`.
 
 mod check;
-mod compile_opt_warm;
 mod inputs;
 mod machine;
 mod qv_fig7;
@@ -33,8 +32,8 @@ use trace::{children_of, union_ns, SpanRec, Tracer};
 /// until `SETUP_MIN_SECONDS` have passed (at most `SETUP_MAX_REPEATS`
 /// times); `setup_s` is the median.
 const SETUP_REPEATS: usize = 3;
-const SETUP_MIN_SECONDS: f64 = 1.0;
-const SETUP_MAX_REPEATS: usize = 50;
+const SETUP_MIN_SECONDS: f64 = 2.0;
+const SETUP_MAX_REPEATS: usize = 100;
 /// Where results, spans and telemetry snapshots are written, relative to
 /// the working directory.
 const OUT_DIR: &str = ".stackbench_out";
@@ -167,7 +166,7 @@ fn main() {
         Err(e) => {
             eprintln!("stackbench: {e}");
             eprintln!(
-                "usage: stackbench --workload qv_fig7|compile_opt_warm|service_mixed \
+                "usage: stackbench --workload qv_fig7|service_mixed \
                  --seed N --seconds S [--trace 0|1]"
             );
             std::process::exit(2);
@@ -176,7 +175,6 @@ fn main() {
     let machine = Machine::detect();
     match args.workload.as_str() {
         "qv_fig7" => run::<qv_fig7::QvFig7>(&args, &machine),
-        "compile_opt_warm" => run::<compile_opt_warm::OptWarm>(&args, &machine),
         "service_mixed" => run::<service_mixed::ServiceMixed>(&args, &machine),
         other => {
             eprintln!("stackbench: unknown workload {other}");
@@ -401,7 +399,7 @@ fn layer_metrics<W: Workload>(
     let traced_s: f64 = traced.iter().map(|u| u.seconds).sum();
 
     // Overhead over complete (untraced, traced) block pairs only, so both
-    // sides saw the same mix of units.
+    // sides saw the same mix of units (on `qv_fig7`, the same circuits).
     let pair = 2 * W::CYCLE;
     let paired = if units.len() >= pair {
         units.len() / pair * pair

@@ -45,7 +45,11 @@ pub struct ServiceMixed {
     pool_requests: Vec<CompileRequest>,
     /// Reference distributions of the pool circuits, filled on first use.
     pool_references: Vec<Option<Vec<f64>>>,
+    /// The service exactly as users build it, with no wrapper: the
+    /// untraced batches, and so every end-to-end metric, run through it.
     plain: CompileService<AshnBasis>,
+    /// A twin with the timing wrapper, built only for a traced run. It
+    /// shares `plain`'s cache, so traced batches meet the same cache state.
     timed: Option<(Arc<Tracer>, CompileService<TimedBasis<AshnBasis>>)>,
     quality: Quality,
     public: Public,
