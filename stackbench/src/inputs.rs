@@ -11,6 +11,9 @@ use rand::{Rng, SeedableRng};
 
 /// The paper's three contenders (§6.3, Fig. 7).
 pub const GATE_SETS: [GateSet; 3] = [GateSet::Cz, GateSet::Sqisw, GateSet::Ashn { cutoff: 1.1 }];
+/// Label prefix of every native two-qubit gate of each of [`GATE_SETS`]
+/// (`AshN[<branch>]` for the AshN pulses).
+pub const NATIVE_LABELS: [&str; 3] = ["CZ", "SQiSW", "AshN["];
 
 /// `qv_fig7` circuit widths, cycled every three units.
 pub const QV_WIDTHS: [usize; 3] = [4, 5, 6];

@@ -45,18 +45,21 @@ pub struct Unit {
     pub seconds: f64,
     /// Circuits or requests the unit completed (the throughput count).
     pub items: usize,
-    /// Failed items, each described.
+    /// Items that failed or were degraded, each described.
     pub failures: Vec<Failure>,
 }
 
-/// Why an item counts in `failed`.
+/// Why an item is not a correct output in the requested gate set.
 pub enum Failure {
-    /// The call returned an error, or a service request was degraded to
-    /// the CNOT fallback: no output in the requested gate set.
+    /// The call returned an error: no output. Counts in `failed`.
     Failed(String),
-    /// An output disagreed with its reference: the result line's
-    /// `correct` becomes `false`.
+    /// An output disagreed with its reference: counts in `failed`, and the
+    /// result line's `correct` becomes `false`.
     Wrong(String),
+    /// The program's resilience layer served a correct output through the
+    /// exact CNOT fallback instead of the requested gate set. The call
+    /// succeeded, so it does not count in `failed`; it lowers `ok_frac`.
+    Degraded(String),
 }
 
 /// Quality of the compiled outputs over the first `QUALITY_UNITS` units.
@@ -245,7 +248,8 @@ fn run<W: Workload>(args: &Args, machine: &Machine) {
     let _installed = ashn::telemetry::install(&registry);
 
     let mut units: Vec<UnitRecord> = Vec::new();
-    let (mut attempted, mut failures, mut wrong) = (0usize, Vec::new(), 0usize);
+    let (mut attempted, mut failures) = (0usize, Vec::new());
+    let (mut failed, mut wrong, mut degraded) = (0usize, 0usize, 0usize);
     let loop_start = Instant::now();
     while units.len() < W::QUALITY_UNITS || loop_start.elapsed().as_secs_f64() < args.seconds {
         let i = units.len();
@@ -254,10 +258,18 @@ fn run<W: Workload>(args: &Args, machine: &Machine) {
         attempted += unit.items;
         for f in unit.failures {
             failures.push(match f {
-                Failure::Failed(what) => format!("FAILED unit {i}: {what}"),
+                Failure::Failed(what) => {
+                    failed += 1;
+                    format!("FAILED unit {i}: {what}")
+                }
                 Failure::Wrong(what) => {
+                    failed += 1;
                     wrong += 1;
                     format!("WRONG unit {i}: {what}")
+                }
+                Failure::Degraded(what) => {
+                    degraded += 1;
+                    format!("DEGRADED unit {i}: {what}")
                 }
             });
         }
@@ -267,7 +279,6 @@ fn run<W: Workload>(args: &Args, machine: &Machine) {
             traced,
         });
     }
-    let failed = failures.len();
     let metrics = if args.trace {
         let spans = tracer.as_ref().map(|t| t.spans()).unwrap_or_default();
         let metrics = layer_metrics::<W>(&spans, &w.public(), &units);
@@ -294,7 +305,11 @@ fn run<W: Workload>(args: &Args, machine: &Machine) {
                 quality.time_sum / quality.circuits as f64,
             ),
             metric("hop_mean", "prob", quality.hop_sum / quality.hops as f64),
-            metric("ok_frac", "ratio", 1.0 - failed as f64 / attempted as f64),
+            metric(
+                "ok_frac",
+                "ratio",
+                1.0 - (failed + degraded) as f64 / attempted as f64,
+            ),
             metric("peak_rss_mb", "MiB", machine::peak_rss_mb()),
         ]
     };
@@ -310,7 +325,8 @@ fn run<W: Workload>(args: &Args, machine: &Machine) {
     println!("machine: {}", machine.to_json());
     println!("input digest: {digest:016x}");
     println!(
-        "units: {} ({} traced), items attempted: {attempted}, failed: {failed}",
+        "units: {} ({} traced), items attempted: {attempted}, failed: {failed}, \
+         degraded: {degraded}",
         units.len(),
         units.iter().filter(|u| u.traced).count()
     );

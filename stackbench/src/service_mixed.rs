@@ -134,10 +134,12 @@ impl Workload for ServiceMixed {
             };
             match result {
                 Err(e) => failures.push(Failure::Failed(format!("{label}: {e}"))),
-                Ok(out) if out.degraded => failures.push(Failure::Failed(format!(
-                    "{label}: degraded to CNOT fallback"
-                ))),
                 Ok(out) => {
+                    if out.degraded {
+                        failures.push(Failure::Degraded(format!(
+                            "{label}: degraded to CNOT fallback"
+                        )));
+                    }
                     if let (true, Some(stats)) = (traced, &out.opt_stats) {
                         let p = &mut self.public;
                         p.opt_compiles += 1;
