@@ -5,9 +5,10 @@
 
 use ashn::qv::sample_model_circuit;
 use ashn::{Compiler, GateSet, OptLevel, QvNoise};
-use ashn_ir::Circuit;
+use ashn_ir::{Circuit, SynthError};
 use ashn_opt::{standard_pipeline, structural_pipeline, DagCircuit};
 use ashn_qv::experiment::compile_model_on;
+use ashn_route::Grid;
 use ashn_synth::basis::AshnBasis;
 use ashn_synth::cache::CachedBasis;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -21,7 +22,7 @@ fn compiled_qv_circuit(seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = sample_model_circuit(4, &mut rng);
     let basis = CachedBasis::new(AshnBasis::with_cutoff(0.0, 1.1));
-    compile_model_on(&model, &basis, None)
+    compile_model_on::<SynthError>(&model, &basis, Grid::for_qubits(4))
         .expect("compiles")
         .circuit
 }

@@ -13,6 +13,12 @@ use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 /// Default tolerance for chamber-membership and equality checks.
 pub const WEYL_TOL: f64 = 1e-9;
 
+/// Width of the `x = π/4` face band that [`WeylPoint::canonicalize`] folds
+/// onto `z ≥ 0`: the loosest chamber tolerance asserted on canonical
+/// coordinates (`in_chamber(1e-7)` in `cost::optimal_time_branches`)
+/// treats the face as this wide.
+const FACE_TOL: f64 = 1e-7;
+
 /// A point `(x, y, z)` of interaction coefficients.
 ///
 /// The point need not be canonical; use [`WeylPoint::canonicalize`] to map it
@@ -105,8 +111,11 @@ impl WeylPoint {
             v[1] = -v[1];
             v[2] = -v[2];
         }
-        // 4. On the x = π/4 face, (π/4, y, −z) ~ (π/4, y, z).
-        if v[0] >= FRAC_PI_4 - WEYL_TOL && v[2] < 0.0 {
+        // 4. On the x = π/4 face, (π/4, y, −z) ~ (π/4, y, z). The face is
+        //    taken as wide as the loosest chamber check callers run on
+        //    canonical points, so the result is `in_chamber` at every
+        //    tolerance up to `FACE_TOL`.
+        if v[0] >= FRAC_PI_4 - FACE_TOL && v[2] < 0.0 {
             v[2] = -v[2];
         }
         WeylPoint::new(v[0], v[1], v[2])
@@ -179,6 +188,26 @@ mod tests {
         // Shift z by π/2 and check it canonicalizes back.
         let q = WeylPoint::new(p.x, p.y, p.z + FRAC_PI_2).canonicalize();
         assert!(q.approx_eq(p, 1e-12), "got {q}");
+    }
+
+    #[test]
+    fn points_just_inside_the_x_face_canonicalize_into_the_chamber() {
+        // x within 1e-7 of π/4 with z < 0: `cost::optimal_time` asserts
+        // `in_chamber(1e-7)` on canonical coordinates, so canonicalization
+        // must fold z onto the face's z ≥ 0 half across that whole band.
+        for eps in [0.0, 1e-10, 1e-9, 2e-9, 5e-8, 9.9e-8] {
+            for (y, z) in [(0.585535, -0.011396), (0.3, -0.2), (0.01, -1e-6)] {
+                let p = WeylPoint::new(FRAC_PI_4 - eps, y, z).canonicalize();
+                for tol in [0.0, WEYL_TOL, 1e-8, 1e-7] {
+                    assert!(
+                        p.in_chamber(tol),
+                        "eps {eps:e}: {p} not in chamber at {tol:e}"
+                    );
+                }
+                assert!(p.z >= 0.0, "eps {eps:e}: {p}");
+                assert!(p.canonicalize().approx_eq(p, 1e-15), "{p} not a fixpoint");
+            }
+        }
     }
 
     #[test]

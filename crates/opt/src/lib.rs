@@ -18,10 +18,12 @@
 //!   (KAK-canonicalized internally; nearly free for repeated Weyl classes
 //!   when the basis is wrapped in `ashn_synth::cache::CachedBasis`).
 //!
-//! The facade (`ashn::Compiler::opt_level`) runs these passes between
-//! routing and scheduling; the soundness contract — optimized circuits are
-//! unitary-equivalent to their input with the global phase folded — is
-//! enforced by the property suite in `crates/opt/tests`.
+//! [`OptLevel`] selects one of the two pipelines; both compile entry
+//! points (`ashn::Compiler::opt_level` and `ashn_service::CompileRequest`)
+//! run it between routing and scheduling. The soundness contract —
+//! optimized circuits are unitary-equivalent to their input with the
+//! global phase folded — is enforced by the property suite in
+//! `crates/opt/tests`.
 //!
 //! ## Example
 //!
@@ -55,7 +57,56 @@ pub use error::OptError;
 pub use pass::{OptStats, Pass, PassManager, PassStats, Snapshot};
 pub use passes::{CommuteCancel, Merge1q, PhaseFold, Resynthesize, Retarget};
 
-use ashn_ir::Basis;
+use ashn_ir::{Basis, Circuit};
+
+/// Acceptance tolerance for resynthesized blocks under
+/// [`OptLevel::Default`]: a replacement is committed only when its realized
+/// unitary is within this Frobenius distance of the block it replaces — the
+/// same fidelity scale the numerical bases (AshN pulse compilation, the
+/// SQiSW interleaver search) synthesize to, so optimization never degrades
+/// fidelity below what compilation already delivers.
+pub const OPT_ACCEPT_TOL: f64 = 1e-5;
+
+/// How aggressively a routed circuit is optimized before scheduling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum OptLevel {
+    /// No optimization: the routed circuit is scheduled as assembled.
+    #[default]
+    None,
+    /// [`structural_pipeline`] only: exact rewrites at near-machine
+    /// precision (adjacent single-qubit merge, global-phase folding,
+    /// commutation-aware cancellation).
+    Light,
+    /// [`standard_pipeline`] at [`OPT_ACCEPT_TOL`]: the structural passes,
+    /// closed-form retargeting, and two-qubit block resynthesis through
+    /// the caller's basis when that is strictly cheaper.
+    Default,
+}
+
+impl OptLevel {
+    /// Runs this level's pipeline over `circuit` in place, resynthesizing
+    /// through `basis` at [`OptLevel::Default`]. Returns the optimizer
+    /// accounting, or `None` at [`OptLevel::None`] (the circuit is left
+    /// untouched).
+    ///
+    /// # Errors
+    ///
+    /// [`OptError`] when a pass fails.
+    pub fn optimize<B: Basis>(
+        self,
+        circuit: &mut Circuit,
+        basis: B,
+    ) -> Result<Option<OptStats>, OptError> {
+        let pipeline = match self {
+            OptLevel::None => return Ok(None),
+            OptLevel::Light => structural_pipeline(),
+            OptLevel::Default => standard_pipeline(basis, OPT_ACCEPT_TOL),
+        };
+        let (optimized, stats) = pipeline.run(circuit)?;
+        *circuit = optimized;
+        Ok(Some(stats))
+    }
+}
 
 /// The structural (exact-rewrite) pipeline: adjacent single-qubit merge,
 /// global-phase folding, and commutation-aware cancellation. Perturbs the

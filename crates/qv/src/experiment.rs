@@ -4,10 +4,10 @@
 //! exact heavy-output probability.
 
 use crate::gateset::GateSet;
-use ashn_ir::{Basis, Circuit, SynthError};
+use ashn_ir::{Basis, Circuit, Instruction, SynthError};
 use ashn_math::randmat::haar_su;
 use ashn_math::CMat;
-use ashn_route::{expand_route_ops, random_pairing, Grid, Router};
+use ashn_route::{random_pairing, route_circuit, Grid, RouteError};
 use ashn_sim::{BatchRunner, SimEngine, Simulate};
 use ashn_synth::cnot_basis::CZ_DURATION;
 use rand::rngs::StdRng;
@@ -49,6 +49,25 @@ pub struct ModelCircuit {
     pub d: usize,
     /// Per layer: the pairing and the target unitaries.
     pub layers: Vec<Vec<((usize, usize), CMat)>>,
+}
+
+impl ModelCircuit {
+    /// The model as a logical circuit: one `SU(4)` instruction per pair,
+    /// layer by layer. Pairs are copied unchecked; [`route_circuit`]
+    /// reports a malformed one as a typed error.
+    pub fn to_circuit(&self) -> Circuit {
+        let mut circuit = Circuit::new(self.d);
+        for ((a, b), u) in self.layers.iter().flatten() {
+            circuit.instructions.push(Instruction {
+                qubits: vec![*a, *b],
+                matrix: u.clone(),
+                label: "su4".into(),
+                duration: 0.0,
+                error_rate: None,
+            });
+        }
+        circuit
+    }
 }
 
 /// Samples a model circuit.
@@ -93,9 +112,8 @@ impl CompiledModel {
     }
 }
 
-/// Compiles a model circuit onto the grid with the given gate set: routing
-/// SWAPs and layer gates are synthesized per [`ashn_ir::Basis`] and
-/// embedded at their physical sites by `ashn_route`. Error rates are
+/// Compiles a model circuit onto the smallest near-square grid holding it,
+/// with the given gate set (see [`compile_model_on`]). Error rates are
 /// **not** stamped here — use [`stamp_noise`] so one compilation serves
 /// several noise levels.
 ///
@@ -104,44 +122,33 @@ impl CompiledModel {
 /// Propagates [`SynthError`] from basis synthesis (instead of the former
 /// `expect` panics).
 pub fn compile_model(model: &ModelCircuit, gate_set: GateSet) -> Result<CompiledModel, SynthError> {
-    compile_model_on(model, gate_set.basis().as_ref(), None)
+    compile_model_on(model, gate_set.basis().as_ref(), Grid::for_qubits(model.d))
 }
 
-/// The basis-generic compilation engine behind [`compile_model`] and
-/// `ashn::Compiler`: synthesizes per-layer gates and routing SWAPs over
-/// `basis`, routes them on `grid` (auto-sized to the model when `None`),
-/// and assembles one physical-site circuit.
+/// The basis-generic compilation behind [`compile_model`] and
+/// `ashn::Compiler`: the model's logical circuit
+/// ([`ModelCircuit::to_circuit`]) through [`route_circuit`] on `grid`, with
+/// every gate synthesized over `basis` and the routed SWAP compiled once
+/// (the SQiSW decomposition in particular is a numerical search), both
+/// with their single-qubit runs fused.
 ///
 /// # Errors
 ///
-/// Propagates [`SynthError`] from synthesis and assembly.
-///
-/// # Panics
-///
-/// Panics when an explicit `grid` is too small for the model (callers
-/// validate, e.g. `ashn::Compiler` turns this into a config error).
-pub fn compile_model_on(
+/// [`SynthError`] from synthesis and [`RouteError`] from routing (an
+/// undersized grid, a malformed model), converted into `E`.
+pub fn compile_model_on<E: From<SynthError> + From<RouteError>>(
     model: &ModelCircuit,
     basis: &dyn Basis,
-    grid: Option<Grid>,
-) -> Result<CompiledModel, SynthError> {
-    let grid = grid.unwrap_or_else(|| Grid::for_qubits(model.d));
-    let n_sites = grid.len();
-    let mut router = Router::new(grid, model.d);
-    let mut circuit = Circuit::new(n_sites);
-    // The routed SWAP is always the same circuit up to relabeling; compile
-    // it once (the SQiSW decomposition in particular is a numerical search).
+    grid: Grid,
+) -> Result<CompiledModel, E> {
     let swap = basis.native_swap()?.fuse_single_qubit_runs();
-    for layer in &model.layers {
-        let pairs: Vec<(usize, usize)> = layer.iter().map(|(p, _)| *p).collect();
-        let ops = router.route_layer(&pairs);
-        let routed = expand_route_ops(n_sites, &ops, &swap, |index| {
-            Ok(basis.synthesize(&layer[index].1)?.fuse_single_qubit_runs())
-        })?;
-        circuit.append(routed)?;
-    }
-    let positions = (0..model.d).map(|l| router.position(l)).collect();
-    Ok(CompiledModel { circuit, positions })
+    let routed = route_circuit(&model.to_circuit(), grid, &swap, |_, inst| {
+        Ok::<_, E>(basis.synthesize(&inst.matrix)?.fuse_single_qubit_runs())
+    })?;
+    Ok(CompiledModel {
+        circuit: routed.circuit,
+        positions: routed.positions,
+    })
 }
 
 /// Stamps per-gate depolarizing rates from the noise model (single-qubit

@@ -3,9 +3,11 @@
 //! two-qubit gate count of compiled circuits without regressing the mean
 //! heavy-output probability at paper noise.
 
+use ashn_ir::SynthError;
 use ashn_opt::standard_pipeline;
 use ashn_qv::experiment::{compile_model_on, sample_model_circuit, score_compiled, CompiledModel};
 use ashn_qv::QvNoise;
+use ashn_route::Grid;
 use ashn_synth::basis::AshnBasis;
 use ashn_synth::cache::CachedBasis;
 use rand::rngs::StdRng;
@@ -41,7 +43,8 @@ fn run_workload(d: usize, circuits: usize, noise: &QvNoise, master_seed: u64) ->
     };
     for _ in 0..circuits {
         let model = sample_model_circuit(d, &mut rng);
-        let compiled = compile_model_on(&model, &basis, None).expect("compiles");
+        let compiled =
+            compile_model_on::<SynthError>(&model, &basis, Grid::for_qubits(d)).expect("compiles");
         let (optimized, stats) = pipeline.run(&compiled.circuit).expect("optimizes");
         assert_eq!(stats.after.gates, optimized.instructions.len());
         ev.gates_raw += compiled.circuit.instructions.len();
@@ -121,7 +124,8 @@ fn optimizer_is_monotone_on_qv_circuits() {
     let mut rng = StdRng::seed_from_u64(99);
     for d in [3usize, 4] {
         let model = sample_model_circuit(d, &mut rng);
-        let compiled = compile_model_on(&model, &basis, None).expect("compiles");
+        let compiled =
+            compile_model_on::<SynthError>(&model, &basis, Grid::for_qubits(d)).expect("compiles");
         let (optimized, stats) = pipeline.run(&compiled.circuit).expect("optimizes");
         assert!(optimized.entangler_count() <= compiled.circuit.entangler_count());
         assert!(optimized.instructions.len() <= compiled.circuit.instructions.len());

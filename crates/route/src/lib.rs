@@ -5,6 +5,9 @@
 //! circuit pairs qubits uniformly at random and the pairs must be brought
 //! together with SWAP gates.
 //!
+//! [`route_circuit`] is the one route-and-assemble core every compile path
+//! runs; [`Router`] is the greedy SWAP router behind it.
+//!
 //! ```
 //! use ashn_route::{Grid, Router, random_pairing};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -18,10 +21,8 @@
 
 pub mod assemble;
 pub mod grid;
-pub mod lookahead;
 pub mod router;
 
-pub use assemble::expand_route_ops;
+pub use assemble::{route_circuit, RouteError, Routed};
 pub use grid::Grid;
-pub use lookahead::LookaheadRouter;
 pub use router::{random_pairing, RouteOp, Router};

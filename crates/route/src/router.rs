@@ -11,10 +11,12 @@ use rand::Rng;
 pub enum RouteOp {
     /// Swap the tokens on two adjacent physical sites.
     Swap(usize, usize),
-    /// Execute the layer's two-qubit gate `index` on two adjacent physical
-    /// sites (in logical order: first site holds the pair's first qubit).
+    /// Execute two-qubit gate `index` on two adjacent physical sites (in
+    /// logical order: first site holds the pair's first qubit).
     Gate {
-        /// Index of the pair within the layer.
+        /// Index of the gate: its pair within the layer for
+        /// [`Router::route_layer`], the caller's index for
+        /// [`Router::route_pair`].
         index: usize,
         /// Physical site of the first logical qubit.
         a: usize,
@@ -65,9 +67,9 @@ impl Router {
         }
     }
 
-    /// Routes one layer of disjoint logical pairs: emits SWAPs moving each
-    /// pair together (walking the first qubit toward the second) followed by
-    /// the gate execution, pair by pair.
+    /// Routes one layer of disjoint logical pairs, pair by pair with
+    /// [`Router::route_pair`]; gate `index` is the pair's index within the
+    /// layer.
     ///
     /// # Panics
     ///
@@ -81,24 +83,34 @@ impl Router {
         }
         let mut ops = Vec::new();
         for (index, &(la, lb)) in pairs.iter().enumerate() {
-            loop {
-                let (pa, pb) = (self.position[la], self.position[lb]);
-                if self.grid.adjacent(pa, pb) {
-                    ops.push(RouteOp::Gate {
-                        index,
-                        a: pa,
-                        b: pb,
-                    });
-                    break;
-                }
-                // Step the first token one site along a shortest path.
-                let path = self.grid.shortest_path(pa, pb);
-                let next = path[1];
-                ops.push(RouteOp::Swap(pa, next));
-                self.swap_sites(pa, next);
-            }
+            self.route_pair(index, la, lb, &mut ops);
         }
         ops
+    }
+
+    /// Routes one two-qubit gate on logical qubits `(la, lb)`: pushes the
+    /// SWAPs that walk `la` one site at a time along a shortest path toward
+    /// `lb`, then the gate itself as [`RouteOp::Gate`] with `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `la == lb` or either qubit is outside the placement.
+    pub fn route_pair(&mut self, index: usize, la: usize, lb: usize, ops: &mut Vec<RouteOp>) {
+        assert_ne!(la, lb, "a gate needs two distinct qubits");
+        loop {
+            let (pa, pb) = (self.position[la], self.position[lb]);
+            if self.grid.adjacent(pa, pb) {
+                ops.push(RouteOp::Gate {
+                    index,
+                    a: pa,
+                    b: pb,
+                });
+                return;
+            }
+            let next = self.grid.shortest_path(pa, pb)[1];
+            ops.push(RouteOp::Swap(pa, next));
+            self.swap_sites(pa, next);
+        }
     }
 }
 

@@ -83,3 +83,19 @@ impl From<ashn_opt::OptError> for ServiceError {
         }
     }
 }
+
+/// An undersized grid is a configuration error, an unroutable instruction
+/// an invalid request, and an embedding failure an assembly error.
+impl From<ashn_route::RouteError> for ServiceError {
+    fn from(e: ashn_route::RouteError) -> Self {
+        use ashn_route::RouteError;
+        let detail = e.to_string();
+        match e {
+            RouteError::GridTooSmall { .. } => ServiceError::Config { detail },
+            RouteError::BadWires { .. } | RouteError::TooWide { .. } => {
+                ServiceError::InvalidRequest { detail }
+            }
+            RouteError::Ir(_) => ServiceError::Assembly { detail },
+        }
+    }
+}

@@ -39,11 +39,12 @@ pub mod persist;
 pub mod service;
 pub mod sharded;
 
+pub use ashn_opt::OptLevel;
 pub use ashn_synth::resilience::RetryPolicy;
 pub use error::ServiceError;
 pub use persist::{LoadOutcome, LoadReport, HEADER};
 pub use service::{
-    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, OptLevel,
-    Resilience, ServiceStats, OPT_ACCEPT_TOL,
+    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, Resilience,
+    ServiceStats,
 };
 pub use sharded::{ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};

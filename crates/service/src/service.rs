@@ -25,10 +25,12 @@
 //! can change *speed*, never *bits*).
 //!
 //! [`CompileService::compile_batch`] extends the same machinery to whole
-//! circuits: per-request routing on a grid ([`LookaheadRouter`]), optional
-//! optimizer passes, and noise scheduling — the full
-//! synthesize → route → opt → schedule pipeline behind a
-//! [`CompileRequest`]/[`CompileResult`] API.
+//! circuits behind a [`CompileRequest`]/[`CompileResult`] API. Each request
+//! runs the workspace's one route-and-assemble core,
+//! [`ashn_route::route_circuit`] (greedy SWAP routing on a grid), with its
+//! two-qubit gates served from the sealed class table, then the one
+//! [`OptLevel`] dispatch and optional noise scheduling — the same
+//! synthesize → route → opt → schedule pipeline `ashn::Compiler` runs.
 
 use crate::error::ServiceError;
 use crate::sharded::ShardedCache;
@@ -37,9 +39,9 @@ use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
 use ashn_ir::{Basis, Circuit};
 use ashn_math::{CMat, Mat4};
-use ashn_opt::{standard_pipeline, structural_pipeline, OptStats};
+use ashn_opt::{OptLevel, OptStats};
 use ashn_qv::{stamp_noise, QvNoise};
-use ashn_route::{Grid, LookaheadRouter, RouteOp};
+use ashn_route::{route_circuit, Grid, Routed};
 use ashn_synth::cache::{serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup};
 use ashn_synth::circuit2::TwoQubitCircuit;
 use ashn_synth::cnot_basis::try_decompose_cnot;
@@ -49,11 +51,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Acceptance tolerance for resynthesized blocks under
-/// [`OptLevel::Standard`] — the fidelity scale the numerical bases
-/// synthesize to (mirrors `ashn::Compiler::OPT_ACCEPT_TOL`).
-pub const OPT_ACCEPT_TOL: f64 = 1e-5;
 
 /// Resilience knobs for a [`CompileService`]: retry/deadline policy for
 /// cold synthesis, the exact-CNOT degradation tier, and the post-serve
@@ -85,22 +82,6 @@ impl Default for Resilience {
     }
 }
 
-/// Optimizer effort for a [`CompileRequest`] (the `ashn-opt` pipelines).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OptLevel {
-    /// Route and schedule only.
-    #[default]
-    None,
-    /// Structural passes (exact rewrites at near-machine precision).
-    Light,
-    /// Structural passes plus two-qubit block resynthesis through the
-    /// service basis. Resynthesis runs on the *uncached* basis so each
-    /// request stays a pure function of its inputs (worker-count
-    /// invariant); repeated blocks are rare after routing, so the cache
-    /// would buy little here anyway.
-    Standard,
-}
-
 /// One circuit to compile, with its pipeline options.
 #[derive(Clone, Debug)]
 pub struct CompileRequest {
@@ -109,7 +90,10 @@ pub struct CompileRequest {
     /// Routing grid (default: the smallest near-square grid holding the
     /// circuit's register).
     pub grid: Option<Grid>,
-    /// Optimizer effort between routing and scheduling.
+    /// Optimizer effort between routing and scheduling. Resynthesis at
+    /// [`OptLevel::Default`] runs on the service's *uncached* basis, so
+    /// each request stays a pure function of its inputs (worker-count
+    /// invariant).
     pub opt: OptLevel,
     /// When set, the result circuit carries per-gate depolarizing rates
     /// scheduled from this noise model (single-qubit fixed, two-qubit ∝
@@ -967,8 +951,9 @@ impl<B: Basis + Sync> CompileService<B> {
     }
 
     /// Compiles a batch of circuits through the full pipeline:
-    /// synthesize (batch-deduplicated) → route ([`LookaheadRouter`]) →
-    /// optimize (per-request [`OptLevel`]) → schedule (per-request noise).
+    /// synthesize (batch-deduplicated) → route
+    /// ([`ashn_route::route_circuit`]) → optimize (per-request [`OptLevel`])
+    /// → schedule (per-request noise).
     ///
     /// All two-qubit targets across *every* request are canonicalized and
     /// deduplicated together before any synthesis runs, then each request
@@ -1086,7 +1071,9 @@ impl<B: Basis + Sync> CompileService<B> {
     }
 
     /// Routes, optimizes, and schedules one request against the sealed
-    /// class table. Pure in its inputs — safe to fan over workers.
+    /// class table. Pure in its inputs — safe to fan over workers. A
+    /// request fails when the service's SWAP fragment could not be
+    /// compiled.
     fn compile_one(
         &self,
         req: &CompileRequest,
@@ -1097,119 +1084,44 @@ impl<B: Basis + Sync> CompileService<B> {
     ) -> (Vec<Tier>, ResAcct, Result<CompileResult, ServiceError>) {
         let mut tiers = Vec::new();
         let mut acct = ResAcct::default();
-        let result = self
-            .compile_one_inner(
-                req,
-                target_start,
-                targets,
-                prepared,
-                swap_fragment,
-                &mut tiers,
-                &mut acct,
-            )
-            .map(|mut compiled| {
-                compiled.degraded = tiers.contains(&Tier::Degraded);
-                compiled
+        let grid = req
+            .grid
+            .unwrap_or_else(|| Grid::for_qubits(req.circuit.n_qubits()));
+        let routed = swap_fragment
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|swap| {
+                route_circuit(&req.circuit, grid, swap, |i, _| {
+                    let index = target_start + i;
+                    let served = self.serve_target(targets[index], index, prepared);
+                    tiers.push(served.tier);
+                    acct.quarantined += served.acct.quarantined;
+                    acct.retries += served.acct.retries;
+                    served.result
+                })
             });
+        let degraded = tiers.contains(&Tier::Degraded);
+        let result = routed.and_then(|routed| self.finish(req, routed, degraded));
         (tiers, acct, result)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compile_one_inner(
+    /// Optimizes and noise-schedules one routed request.
+    fn finish(
         &self,
         req: &CompileRequest,
-        target_start: usize,
-        targets: &[&CMat],
-        prepared: &Prepared,
-        swap_fragment: &Result<Circuit, ServiceError>,
-        tiers: &mut Vec<Tier>,
-        acct: &mut ResAcct,
+        routed: Routed,
+        degraded: bool,
     ) -> Result<CompileResult, ServiceError> {
-        let n = req.circuit.n_qubits();
-        let grid = req.grid.unwrap_or_else(|| Grid::for_qubits(n));
-        if grid.len() < n {
-            return Err(ServiceError::Config {
-                detail: format!("grid has {} sites but the circuit needs {n}", grid.len()),
-            });
+        let mut circuit = routed.circuit;
+        let opt_stats = req.opt.optimize(&mut circuit, &self.basis)?;
+        if let Some(noise) = &req.noise {
+            circuit = stamp_noise(&circuit, noise);
         }
-        let sites = grid.len();
-        let mut router = LookaheadRouter::new(grid, n);
-        let mut physical = Circuit::new(sites);
-        physical.phase = req.circuit.phase;
-        let mut tidx = target_start;
-        for inst in &req.circuit.instructions {
-            match *inst.qubits.as_slice() {
-                // Scalar instructions fold into the global phase.
-                [] => physical.phase *= inst.matrix[(0, 0)],
-                [q] => {
-                    if q >= n {
-                        return Err(ServiceError::InvalidRequest {
-                            detail: format!("wire {q} outside the {n}-qubit register"),
-                        });
-                    }
-                    let mut moved = inst.clone();
-                    moved.qubits = vec![router.position(q)];
-                    physical.try_push(moved)?;
-                }
-                [a, b] => {
-                    if a == b || a >= n || b >= n {
-                        return Err(ServiceError::InvalidRequest {
-                            detail: format!("bad wire pair ({a}, {b}) on {n} qubits"),
-                        });
-                    }
-                    let index = tidx;
-                    tidx += 1;
-                    for op in router.route_layer(&[(a, b)]) {
-                        match op {
-                            RouteOp::Swap(x, y) => {
-                                let fragment = swap_fragment.as_ref().map_err(Clone::clone)?;
-                                physical.append(fragment.embed(sites, &[x, y])?)?;
-                            }
-                            RouteOp::Gate { a: pa, b: pb, .. } => {
-                                let served = self.serve_target(targets[index], index, prepared);
-                                tiers.push(served.tier);
-                                acct.quarantined += served.acct.quarantined;
-                                acct.retries += served.acct.retries;
-                                physical.append(served.result?.embed(sites, &[pa, pb])?)?;
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    let detail = format!(
-                        "instruction {:?} acts on {} qubits; the pipeline compiles 1q/2q circuits",
-                        inst.label,
-                        inst.qubits.len()
-                    );
-                    return Err(ServiceError::InvalidRequest { detail });
-                }
-            }
-        }
-
-        let opt_stats = match req.opt {
-            OptLevel::None => None,
-            OptLevel::Light => {
-                let (optimized, stats) = structural_pipeline().run(&physical)?;
-                physical = optimized;
-                Some(stats)
-            }
-            OptLevel::Standard => {
-                let (optimized, stats) =
-                    standard_pipeline(&self.basis, OPT_ACCEPT_TOL).run(&physical)?;
-                physical = optimized;
-                Some(stats)
-            }
-        };
-
-        let circuit = match &req.noise {
-            Some(noise) => stamp_noise(&physical, noise),
-            None => physical,
-        };
         Ok(CompileResult {
             circuit,
-            positions: (0..n).map(|l| router.position(l)).collect(),
+            positions: routed.positions,
             opt_stats,
-            degraded: false,
+            degraded,
         })
     }
 }

@@ -349,6 +349,19 @@ mod tests {
     }
 
     #[test]
+    fn ashn_synthesizes_classes_just_inside_the_x_face() {
+        // (π/4 − 5e-8, y, z < 0) once reached the pulse compiler
+        // non-canonical and panicked in `cost::optimal_time`.
+        let basis = AshnBasis::with_cutoff(0.0, 1.1);
+        for (eps, y, z) in [(5e-8, 0.585535, -0.011396), (2e-8, 0.3, -0.2)] {
+            let u = ashn_gates::two::canonical(FRAC_PI_4 - eps, y, z);
+            let c = basis.synthesize(&u).expect("face-band class synthesizes");
+            assert!(c.error(&u) < 1e-5, "error {:e}", c.error(&u));
+            assert_eq!(c.entangler_count(), 1);
+        }
+    }
+
+    #[test]
     fn native_swap_counts_match_the_paper() {
         // CZ and SQiSW need 3 natives for SWAP; AshN needs a single pulse.
         assert_eq!(CzBasis.native_swap().unwrap().entangler_count(), 3);

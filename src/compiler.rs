@@ -22,9 +22,7 @@
 
 use crate::error::AshnError;
 use ashn_ir::{Basis, Circuit};
-use ashn_opt::{
-    standard_pipeline, structural_pipeline, OptStats, PassManager, Resynthesize, Retarget,
-};
+use ashn_opt::{OptStats, PassManager, Resynthesize, Retarget};
 use ashn_qv::experiment::{
     compile_model_on, score_compiled, score_compiled_many, stamp_noise, CircuitScore,
     CompiledModel, ModelCircuit,
@@ -47,37 +45,13 @@ use ashn_synth::retarget::standard_rules;
 pub type SynthStats = ashn_synth::cache::CacheStats;
 
 /// How aggressively the compiler optimizes the routed circuit before
-/// scheduling (the `ashn-opt` pass pipeline).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OptLevel {
-    /// No optimization: the routed circuit is scheduled as assembled. This
-    /// is the builder default, preserving the historical pipeline output
-    /// bit for bit.
-    #[default]
-    None,
-    /// Structural passes only (exact rewrites at near-machine precision):
-    /// adjacent single-qubit merge, global-phase folding, and
-    /// commutation-aware cancellation.
-    Light,
-    /// The standard pipeline: the structural passes plus `Collect2q` +
-    /// resynthesis — maximal two-qubit runs are gathered into one `SU(4)`
-    /// target and re-emitted through the compiler's (cached) basis when
-    /// that is strictly cheaper. Replacements are accepted only when their
-    /// realized unitary matches the block within
-    /// [`Compiler::OPT_ACCEPT_TOL`], the same fidelity scale the numerical
-    /// bases synthesize to.
-    Default,
-}
+/// scheduling: the one [`ashn_opt::OptLevel`], shared with
+/// `ashn_service::CompileRequest`. The builder default is
+/// [`OptLevel::None`], preserving the historical pipeline output bit for
+/// bit; [`OptLevel::Default`] resynthesizes through the compiler's (cached)
+/// basis at [`Compiler::OPT_ACCEPT_TOL`].
+pub use ashn_opt::OptLevel;
 
-/// Builder for the end-to-end compilation pipeline.
-///
-/// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
-/// noise anchored at `e_cz = 0.7%`, a grid sized to the model, and
-/// [`OptLevel::None`] — the optimizer ([`Compiler::opt_level`]) is opt-in,
-/// so out of the box the pipeline reproduces the historical
-/// synthesize → route → schedule → simulate output bit for bit. Select
-/// [`OptLevel::Light`] for the exact structural rewrites or
-/// [`OptLevel::Default`] to add two-qubit block resynthesis.
 /// Which memo store wraps the compiler's basis at `compile` time.
 enum CacheConfig {
     /// A compiler-private bounded LRU ([`SynthCache`]) — the default.
@@ -89,6 +63,15 @@ enum CacheConfig {
     Off,
 }
 
+/// Builder for the end-to-end compilation pipeline.
+///
+/// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
+/// noise anchored at `e_cz = 0.7%`, a grid sized to the model, and
+/// [`OptLevel::None`] — the optimizer ([`Compiler::opt_level`]) is opt-in,
+/// so out of the box the pipeline reproduces the historical
+/// synthesize → route → schedule → simulate output bit for bit. Select
+/// [`OptLevel::Light`] for the exact structural rewrites or
+/// [`OptLevel::Default`] to add two-qubit block resynthesis.
 pub struct Compiler {
     /// The plain (uncached) basis; the memo layer is applied per
     /// [`Compiler::compile`] call from [`CacheConfig`], so one compiler can
@@ -125,13 +108,9 @@ impl Compiler {
     }
 
     /// Acceptance tolerance for resynthesized blocks under
-    /// [`OptLevel::Default`]: a replacement is committed only when its
-    /// realized unitary is within this Frobenius distance of the block it
-    /// replaces — the same fidelity scale the numerical bases (AshN pulse
-    /// compilation, the SQiSW interleaver search) synthesize to, so
-    /// optimization never degrades fidelity below what compilation already
-    /// delivers.
-    pub const OPT_ACCEPT_TOL: f64 = 1e-5;
+    /// [`OptLevel::Default`] and for [`Compiler::retarget_circuit`]'s
+    /// resynthesis sweep ([`ashn_opt::OPT_ACCEPT_TOL`]).
+    pub const OPT_ACCEPT_TOL: f64 = ashn_opt::OPT_ACCEPT_TOL;
 
     /// Sets the optimization level run between routing and scheduling
     /// (default: [`OptLevel::None`] — optimization is opt-in so the
@@ -344,46 +323,17 @@ impl Compiler {
         model: &ModelCircuit,
     ) -> Result<Compiled, AshnError> {
         let grid = self.grid.unwrap_or_else(|| Grid::for_qubits(model.d));
-        if grid.len() < model.d {
-            return Err(AshnError::Config {
-                detail: format!(
-                    "grid has {} sites but the model needs {}",
-                    grid.len(),
-                    model.d
-                ),
-            });
-        }
-        let mut compiled = compile_model_on(model, basis, Some(grid)).map_err(|e| match e {
-            ashn_ir::SynthError::Ir(ir) => AshnError::Ir(ir),
-            other => AshnError::Synth(other),
-        })?;
+        let mut compiled = compile_model_on::<AshnError>(model, basis, grid)?;
         // Optimize between routing and scheduling: rewrites act on the
         // physical-site circuit (wire identities preserved, so the router's
         // final placement stays valid) before noise rates are resolved.
-        let opt_stats = match self.opt {
-            OptLevel::None => None,
-            OptLevel::Light => Some(self.optimize(&mut compiled.circuit, structural_pipeline())?),
-            OptLevel::Default => Some(self.optimize(
-                &mut compiled.circuit,
-                standard_pipeline(basis, Self::OPT_ACCEPT_TOL),
-            )?),
-        };
+        let opt_stats = self.opt.optimize(&mut compiled.circuit, basis)?;
         Ok(Compiled {
             model: compiled,
             noise: self.noise,
             basis_name: self.basis.name(),
             opt_stats,
         })
-    }
-
-    fn optimize(
-        &self,
-        circuit: &mut Circuit,
-        pipeline: PassManager,
-    ) -> Result<OptStats, AshnError> {
-        let (optimized, stats) = pipeline.run(circuit)?;
-        *circuit = optimized;
-        Ok(stats)
     }
 }
 

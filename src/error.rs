@@ -9,6 +9,7 @@
 use ashn_core::scheme::CompileError;
 use ashn_ir::{IrError, SynthError};
 use ashn_opt::OptError;
+use ashn_route::RouteError;
 use ashn_sim::SimError;
 use std::error::Error;
 use std::fmt;
@@ -56,9 +57,27 @@ impl Error for AshnError {
     }
 }
 
+/// A structural error surfacing during synthesis is an IR error.
 impl From<SynthError> for AshnError {
     fn from(e: SynthError) -> Self {
-        AshnError::Synth(e)
+        match e {
+            SynthError::Ir(ir) => AshnError::Ir(ir),
+            other => AshnError::Synth(other),
+        }
+    }
+}
+
+/// An undersized grid is a compiler misconfiguration ([`crate::Compiler::grid`]);
+/// assembly failures are IR errors; a model the router cannot place is an
+/// invalid synthesis target.
+impl From<RouteError> for AshnError {
+    fn from(e: RouteError) -> Self {
+        match e {
+            RouteError::GridTooSmall { .. } => AshnError::Config {
+                detail: e.to_string(),
+            },
+            other => SynthError::from(other).into(),
+        }
     }
 }
 

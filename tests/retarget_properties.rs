@@ -2,7 +2,7 @@
 //! circuits over every registered source gate set, retargeted onto every
 //! registered target set, preserve the full-circuit unitary at `1e-12` —
 //! both through the bare [`Retarget`] pass and through the service's
-//! routed `compile_batch` pipeline (rule tier + lookahead router).
+//! routed `compile_batch` pipeline (rule tier + `route_circuit`).
 
 use ashn::ir::{Basis, Circuit, Instruction};
 use ashn::math::randmat::haar_unitary;
@@ -87,11 +87,11 @@ proptest! {
     }
 
     /// Mixed known-gate circuits through the full routed service pipeline:
-    /// the rule tier serves every gate, the lookahead router inserts
+    /// the rule tier serves every gate, the router inserts
     /// SWAPs, and the physical circuit still realizes the logical unitary
     /// (up to the router's final qubit placement) at 1e-12.
     #[test]
-    fn rule_tier_survives_the_lookahead_router(seed in 0u64..256) {
+    fn rule_tier_survives_routing(seed in 0u64..256) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 4;
         // Gates drawn across ALL source sets, on arbitrary (often
