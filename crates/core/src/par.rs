@@ -254,23 +254,4 @@ mod tests {
             .unwrap_or_default();
         assert_eq!(msg, "die 2", "must re-raise the lowest-indexed panic");
     }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn task_failpoint_injects_isolated_panics() {
-        use crate::fault::{self, FaultMode};
-        let _guard = fault::exclusive();
-        fault::reset();
-        fault::configure("core::par::task", FaultMode::OnNth(3));
-        // Serial execution so call order is the job order.
-        let out = parallel_map_isolated(1, 5, |i| i);
-        fault::reset();
-        assert!(out[2].is_err(), "third task must be hit");
-        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
-        assert!(out[2]
-            .as_ref()
-            .unwrap_err()
-            .detail
-            .contains("core::par::task"));
-    }
 }

@@ -8,7 +8,7 @@ use ashn_ir::{Basis, Circuit, Instruction, SynthError};
 use ashn_math::randmat::haar_su;
 use ashn_math::CMat;
 use ashn_route::{random_pairing, route_circuit, Grid, RouteError};
-use ashn_sim::{BatchRunner, SimEngine, Simulate};
+use ashn_sim::{BatchRunner, DensityMatrix, SimEngine};
 use ashn_synth::cnot_basis::CZ_DURATION;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,11 +154,13 @@ pub fn compile_model_on<E: From<SynthError> + From<RouteError>>(
 /// Stamps per-gate depolarizing rates from the noise model (single-qubit
 /// fixed; two-qubit proportional to duration).
 ///
-/// This deep-clones every gate matrix; the scoring hot path uses
-/// [`resolve_rates`] + [`ashn_sim::Simulate::run_noisy_scheduled`] instead,
-/// which resolve the same schedule without materializing an annotated copy
-/// of the circuit. Kept for callers that want a self-contained noisy
-/// circuit (e.g. to hand to the trajectory simulator as-is).
+/// This deep-clones every gate matrix; the scoring hot path
+/// ([`score_compiled_many`]) uses [`resolve_rates`] +
+/// [`DensityMatrix::run_scheduled`] instead, which resolve the same
+/// schedule without materializing an annotated copy of the circuit. Kept
+/// for callers that want a self-contained noisy circuit, such as the
+/// compile service's noise stamping or a trajectory run of the circuit
+/// as-is.
 pub fn stamp_noise(circuit: &Circuit, noise: &QvNoise) -> Circuit {
     let mut out = Circuit::new(circuit.n_qubits());
     out.phase = circuit.phase;
@@ -216,9 +218,15 @@ pub fn score_compiled(compiled: &CompiledModel, noise: &QvNoise) -> CircuitScore
 /// Scores an already-compiled circuit at **all** the given noise levels,
 /// paying the noise-independent work once: the ideal run executes through
 /// a plan-backed [`SimEngine`] and the heavy set is extracted a single
-/// time, then each noise point resolves its depolarizing schedule with
+/// time. Each noise point then resolves its depolarizing schedule with
 /// [`resolve_rates`] (no gate-matrix cloning) and runs the exact
-/// density-matrix simulation.
+/// density-matrix simulation ([`DensityMatrix::run_scheduled`]: vec(ρ) on
+/// the statevector plan kernels) in one ρ buffer shared by all points.
+///
+/// # Panics
+///
+/// Panics when the compiled register has more than 12 qubits, the
+/// density-matrix limit.
 pub fn score_compiled_many(compiled: &CompiledModel, noises: &[QvNoise]) -> Vec<CircuitScore> {
     let circuit = &compiled.circuit;
     let mut engine = SimEngine::new(circuit.n_qubits());
@@ -226,11 +234,12 @@ pub fn score_compiled_many(compiled: &CompiledModel, noises: &[QvNoise]) -> Vec<
     let heavy = heavy_set(&ideal);
     let two_qubit_gates = circuit.two_qubit_gate_count();
     let interaction_time = circuit.total_duration();
+    let mut rho = DensityMatrix::zero(circuit.n_qubits());
     noises
         .iter()
         .map(|noise| {
-            let noisy = circuit.run_noisy_scheduled(&resolve_rates(circuit, noise));
-            let probs = compiled.logical_probs(&noisy.probabilities());
+            rho.run_scheduled(circuit, &resolve_rates(circuit, noise));
+            let probs = compiled.logical_probs(&rho.probabilities());
             CircuitScore {
                 hop: heavy.iter().map(|&i| probs[i]).sum(),
                 two_qubit_gates,

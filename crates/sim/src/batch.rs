@@ -317,32 +317,6 @@ mod tests {
         assert_eq!(msg, "die 6");
     }
 
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn job_failpoint_injects_isolated_panics() {
-        use ashn_math::fault::{self, FaultMode};
-        let _guard = fault::exclusive();
-        fault::reset();
-        fault::configure("sim::batch::job", FaultMode::EveryNth(4));
-        // One worker: jobs run in index order, so calls 4 and 8 are jobs 3
-        // and 7.
-        let out = BatchRunner::new(7).with_workers(1).try_run(8, |i, _| i);
-        fault::reset();
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 || i == 7 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.index, i);
-                assert!(
-                    p.detail.contains("injected fault: sim::batch::job"),
-                    "detail: {}",
-                    p.detail
-                );
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &i);
-            }
-        }
-    }
-
     #[test]
     fn zero_jobs_is_empty() {
         let out: Vec<u64> = BatchRunner::new(3).run(0, |_, rng| rng.gen());

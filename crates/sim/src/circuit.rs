@@ -3,11 +3,12 @@
 //! The circuit representation itself lives in `ashn-ir` (one IR for the
 //! whole workspace); this module keeps the noise model and provides the
 //! [`Simulate`] extension trait so `circuit.run_pure()` /
-//! `circuit.run_noisy(..)` read as before. (The transitional
-//! `ashn_sim::Gate` alias has been removed — every consumer now speaks
-//! `ashn_ir::Instruction` directly.)
+//! `circuit.run_noisy(..)` read as methods. Both run on the compiled
+//! [`crate::ExecPlan`] kernels: `run_pure` through [`SimEngine`], the
+//! noisy runs through [`DensityMatrix`]'s vectorized-ρ executor.
 
 use crate::density::DensityMatrix;
+use crate::engine::SimEngine;
 use crate::state::StateVector;
 pub use ashn_ir::{Circuit, Instruction};
 
@@ -38,59 +39,52 @@ impl NoiseModel {
 
 /// Execution of [`ashn_ir::Circuit`]s on the simulators in this crate.
 pub trait Simulate {
-    /// Runs the circuit on `|0…0⟩` without noise.
+    /// Runs the circuit on `phase·|0…0⟩` without noise, through
+    /// [`SimEngine::run_pure`]: the fused plan path, with the instruction
+    /// walk as the fallback for gates on three or more qubits.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside `1..=`[`MAX_QUBITS`](crate::MAX_QUBITS) qubits.
     fn run_pure(&self) -> StateVector;
 
     /// Runs the circuit with depolarizing noise after every gate, returning
-    /// the exact output density matrix.
+    /// the exact output density matrix (see [`crate::density`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics outside `1..=12` qubits, or when a rate is above 1.
     fn run_noisy(&self, noise: &NoiseModel) -> DensityMatrix;
 
     /// Runs the circuit with an externally resolved depolarizing schedule:
     /// `rates[i]` is applied after instruction `i`. This lets callers score
     /// one circuit under many noise models without materializing an
-    /// annotated copy of the circuit (and its gate matrices) per model.
+    /// annotated copy of the circuit (and its gate matrices) per model;
+    /// [`DensityMatrix::run_scheduled`] also reuses one ρ buffer across
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// As [`DensityMatrix::run_scheduled`].
     fn run_noisy_scheduled(&self, rates: &[f64]) -> DensityMatrix;
 }
 
 impl Simulate for Circuit {
     fn run_pure(&self) -> StateVector {
-        // Seed |0…0⟩ scaled by the circuit's global phase so amplitudes
-        // agree with `Circuit::unitary()` column 0 (the former gate-list
-        // representation carried the phase as an explicit gate).
-        let mut amps = vec![ashn_math::Complex::ZERO; 1 << self.n];
-        amps[0] = self.phase;
-        let mut s = StateVector::from_amplitudes_unchecked(amps);
-        for g in &self.instructions {
-            s.apply(&g.qubits, &g.matrix);
-        }
-        s
+        let mut engine = SimEngine::new(self.n);
+        engine.run_pure(self);
+        engine.take_state()
     }
 
     fn run_noisy(&self, noise: &NoiseModel) -> DensityMatrix {
         let mut rho = DensityMatrix::zero(self.n);
-        for g in &self.instructions {
-            rho.apply(&g.qubits, &g.matrix);
-            let p = noise.rate_for(g);
-            if p > 0.0 {
-                rho.depolarize(&g.qubits, p);
-            }
-        }
+        rho.run_with(self, |_, g| noise.rate_for(g));
         rho
     }
 
     fn run_noisy_scheduled(&self, rates: &[f64]) -> DensityMatrix {
-        assert_eq!(
-            rates.len(),
-            self.instructions.len(),
-            "one rate per instruction"
-        );
         let mut rho = DensityMatrix::zero(self.n);
-        for (g, &p) in self.instructions.iter().zip(rates) {
-            rho.apply(&g.qubits, &g.matrix);
-            if p > 0.0 {
-                rho.depolarize(&g.qubits, p);
-            }
-        }
+        rho.run_scheduled(self, rates);
         rho
     }
 }

@@ -3,29 +3,66 @@
 //! Used for the quantum-volume experiments (paper §6.3): heavy-output
 //! probabilities are computed exactly from the noisy density matrix, so the
 //! only statistical error left is over the random-circuit ensemble itself.
+//!
+//! # Layout: ρ as a `2n`-qubit vector
+//!
+//! ρ is stored row-major as `dim × dim` amplitudes, which is exactly
+//! vec(ρ) as a `2n`-qubit state vector: entry `(r, c)` sits at index
+//! `r·2^n + c`, so row qubit `q` is bit `2n − 1 − q` and column qubit `q` is
+//! bit `n − 1 − q`. Since vec(UρU†) = (U ⊗ Ū)·vec(ρ), a gate is its
+//! statevector kernel at the row bits plus the complex-conjugate kernel at
+//! the column bits. Circuits therefore run on the same
+//! [`ExecPlan`] ops and [`ashn_ir::kernels`] as the statevector engine,
+//! fusion included: fusion only merges gates whose depolarizing rate is
+//! zero, so every noise channel keeps its place. Gates on three or more
+//! qubits, which have no plan opcode, take the generic kernel on the
+//! `2n`-qubit register instead.
+//!
+//! A `k`-qubit depolarizing channel is one in-place sweep over the
+//! `4^k`-entry blocks spanned by the targets' row and column bits
+//! (`depolarize_at`).
 
+use crate::plan::{ExecPlan, KernelOp};
 use crate::state::StateVector;
-use ashn_math::{c, CMat, Complex};
+use ashn_ir::kernels::apply_gate_generic;
+use ashn_ir::{Circuit, Instruction};
+use ashn_math::{CMat, Complex, Mat2, Mat4};
 
 /// An `n`-qubit density matrix.
 #[derive(Clone, Debug)]
 pub struct DensityMatrix {
     n: usize,
     dim: usize,
-    mat: Vec<Complex>, // row-major dim×dim
+    mat: Vec<Complex>, // row-major dim×dim: vec(ρ) on 2n qubits
 }
 
 impl DensityMatrix {
     /// The pure state `|0…0⟩⟨0…0|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside `1..=12` qubits.
     pub fn zero(n: usize) -> Self {
+        let mut rho = Self {
+            n,
+            dim: 0,
+            mat: Vec::new(),
+        };
+        rho.reset(n);
+        rho
+    }
+
+    /// Resets to `|0…0⟩⟨0…0|` on `n` qubits, reusing the buffer.
+    fn reset(&mut self, n: usize) {
         assert!(
             (1..=12).contains(&n),
             "density matrices supported up to 12 qubits"
         );
-        let dim = 1 << n;
-        let mut mat = vec![Complex::ZERO; dim * dim];
-        mat[0] = Complex::ONE;
-        Self { n, dim, mat }
+        self.n = n;
+        self.dim = 1 << n;
+        self.mat.clear();
+        self.mat.resize(self.dim * self.dim, Complex::ZERO);
+        self.mat[0] = Complex::ONE;
     }
 
     /// Density matrix of a pure state.
@@ -70,61 +107,34 @@ impl DensityMatrix {
             .collect()
     }
 
+    /// The entries in row-major `dim × dim` order, i.e. vec(ρ).
+    pub fn entries(&self) -> &[Complex] {
+        &self.mat
+    }
+
     /// Applies `ρ → UρU†` with a `k`-qubit unitary on the listed qubits.
     ///
     /// # Panics
     ///
     /// Same conditions as [`StateVector::apply`].
     pub fn apply(&mut self, qubits: &[usize], u: &CMat) {
-        let k = qubits.len();
-        assert_eq!(u.rows(), 1 << k, "matrix dimension mismatch");
-        let pos: Vec<usize> = qubits.iter().map(|q| self.n - 1 - q).collect();
-        let targets_mask: usize = pos.iter().map(|p| 1usize << p).sum();
-        let sub = 1usize << k;
-        let expand = |base: usize, m: usize| -> usize {
-            let mut idx = base;
-            for (j, p) in pos.iter().enumerate() {
-                if m >> (k - 1 - j) & 1 == 1 {
-                    idx |= 1 << p;
-                }
-            }
-            idx
-        };
-        // Left multiplication: rows transform by U.
-        let mut gathered = vec![Complex::ZERO; sub];
-        for col in 0..self.dim {
-            for base in 0..self.dim {
-                if base & targets_mask != 0 {
-                    continue;
-                }
-                for (m, g) in gathered.iter_mut().enumerate() {
-                    *g = self.mat[expand(base, m) * self.dim + col];
-                }
-                for row in 0..sub {
-                    let mut acc = Complex::ZERO;
-                    for (mcol, g) in gathered.iter().enumerate() {
-                        acc += u[(row, mcol)] * *g;
-                    }
-                    self.mat[expand(base, row) * self.dim + col] = acc;
-                }
-            }
-        }
-        // Right multiplication by U†: columns transform by conj(U).
-        for row in 0..self.dim {
-            for base in 0..self.dim {
-                if base & targets_mask != 0 {
-                    continue;
-                }
-                for (m, g) in gathered.iter_mut().enumerate() {
-                    *g = self.mat[row * self.dim + expand(base, m)];
-                }
-                for colm in 0..sub {
-                    let mut acc = Complex::ZERO;
-                    for (mrow, g) in gathered.iter().enumerate() {
-                        acc += u[(colm, mrow)].conj() * *g;
-                    }
-                    self.mat[row * self.dim + expand(base, colm)] = acc;
-                }
+        self.check_qubits(qubits);
+        assert_eq!(u.rows(), 1 << qubits.len(), "matrix dimension mismatch");
+        assert!(u.is_square());
+        let bit = |q: usize| (self.n - 1 - q) as u8;
+        match *qubits {
+            [q] => self.apply_kernel(&KernelOp::one_qubit(bit(q), Mat2::try_from(u).unwrap())),
+            [q0, q1] => self.apply_kernel(&KernelOp::two_qubit(
+                bit(q0),
+                bit(q1),
+                Mat4::try_from(u).unwrap(),
+            )),
+            _ => {
+                // On the 2n-qubit register row qubit q is wire q and column
+                // qubit q is wire q + n.
+                let cols: Vec<usize> = qubits.iter().map(|q| q + self.n).collect();
+                apply_gate_generic(&mut self.mat, 2 * self.n, qubits, u);
+                apply_gate_generic(&mut self.mat, 2 * self.n, &cols, &u.conj());
             }
         }
     }
@@ -136,47 +146,141 @@ impl DensityMatrix {
     ///
     /// Panics when `p ∉ [0, 1]` or qubits are invalid.
     pub fn depolarize(&mut self, qubits: &[usize], p: f64) {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        if p == 0.0 {
-            return;
-        }
-        let k = qubits.len();
+        self.check_qubits(qubits);
         let pos: Vec<usize> = qubits.iter().map(|q| self.n - 1 - q).collect();
-        let targets_mask: usize = pos.iter().map(|p| 1usize << p).sum();
-        let sub = 1usize << k;
-        let expand = |base: usize, m: usize| -> usize {
-            let mut idx = base;
-            for (j, pp) in pos.iter().enumerate() {
-                if m >> (k - 1 - j) & 1 == 1 {
-                    idx |= 1 << pp;
-                }
-            }
-            idx
-        };
-        let norm = 1.0 / sub as f64;
-        // For every pair of non-target index parts, mix in the partial trace.
-        for rbase in 0..self.dim {
-            if rbase & targets_mask != 0 {
-                continue;
-            }
-            for cbase in 0..self.dim {
-                if cbase & targets_mask != 0 {
-                    continue;
-                }
-                // Partial trace over targets for this (rest_r, rest_c) pair.
-                let mut tr = Complex::ZERO;
-                for s in 0..sub {
-                    tr += self.mat[expand(rbase, s) * self.dim + expand(cbase, s)];
-                }
-                let mixed = tr * c(norm, 0.0);
-                for mr in 0..sub {
-                    for mc in 0..sub {
-                        let idx = expand(rbase, mr) * self.dim + expand(cbase, mc);
-                        let fresh = if mr == mc { mixed } else { Complex::ZERO };
-                        self.mat[idx] = self.mat[idx] * (1.0 - p) + fresh * p;
+        depolarize_at(&mut self.mat, self.n, &pos, p);
+    }
+
+    /// Resets to `|0…0⟩⟨0…0|` on the circuit's register, reusing this
+    /// matrix's buffer, and runs the circuit with `rates[i]` depolarizing
+    /// after instruction `i`. Scoring one circuit under several noise
+    /// models this way allocates ρ once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rates` does not hold one rate per instruction, when a
+    /// rate is above 1, and outside `1..=12` qubits.
+    pub fn run_scheduled(&mut self, circuit: &Circuit, rates: &[f64]) {
+        assert_eq!(
+            rates.len(),
+            circuit.gates().len(),
+            "one rate per instruction"
+        );
+        self.run_with(circuit, |i, _| rates[i]);
+    }
+
+    /// The one density-matrix execution path: resets to `|0…0⟩⟨0…0|` on
+    /// the circuit's register and runs it, with `rate_of(i, gate)` the
+    /// depolarizing probability after instruction `i`. The circuit is
+    /// compiled to an [`ExecPlan`]; a circuit with a gate on three or more
+    /// qubits is walked instruction by instruction instead.
+    pub(crate) fn run_with(
+        &mut self,
+        circuit: &Circuit,
+        rate_of: impl Fn(usize, &Instruction) -> f64,
+    ) {
+        self.reset(circuit.n_qubits());
+        match ExecPlan::build_indexed(circuit, &rate_of) {
+            Ok(plan) => {
+                let mut pos = Vec::with_capacity(2);
+                for op in plan.ops() {
+                    self.apply_kernel(&op.kernel);
+                    if op.rate > 0.0 {
+                        pos.clear();
+                        pos.extend(op.noise_positions().iter().map(|&p| p as usize));
+                        depolarize_at(&mut self.mat, self.n, &pos, op.rate);
                     }
                 }
             }
+            Err(_) => {
+                for (i, g) in circuit.gates().iter().enumerate() {
+                    self.apply(&g.qubits, &g.matrix);
+                    let p = rate_of(i, g);
+                    if p > 0.0 {
+                        self.depolarize(&g.qubits, p);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `ρ → UρU†` for one pre-classified op of the `n`-qubit register: the
+    /// op at the row bits, its conjugate at the column bits.
+    fn apply_kernel(&mut self, op: &KernelOp) {
+        op.shifted(self.n as u8).apply(&mut self.mat);
+        op.conj().apply(&mut self.mat);
+    }
+
+    /// The qubit checks of [`StateVector::apply`].
+    fn check_qubits(&self, qubits: &[usize]) {
+        assert!(!qubits.is_empty(), "bad qubit count");
+        for (i, &q) in qubits.iter().enumerate() {
+            assert!(q < self.n, "qubit {q} out of range");
+            assert!(!qubits[..i].contains(&q), "duplicate qubit {q}");
+        }
+    }
+}
+
+/// Inserts a zero bit at position `p`, shifting the higher bits up.
+#[inline(always)]
+fn insert_zero(x: usize, p: usize) -> usize {
+    let low = (1usize << p) - 1;
+    ((x & !low) << 1) | (x & low)
+}
+
+/// Depolarizes the targets at column bit positions `pos` of vec(ρ) for an
+/// `n`-qubit ρ, in place: `ρ → (1−p)·ρ + p·(I/2^k ⊗ Tr_targets ρ)`. Each
+/// `4^k`-entry block spanned by the targets' row bits (`pos + n`) and
+/// column bits is scaled by `1 − p`, and `p/2^k` of the block's partial
+/// trace is added back on its diagonal. Any `k` works.
+///
+/// # Panics
+///
+/// Panics when `p ∉ [0, 1]`.
+fn depolarize_at(rho: &mut [Complex], n: usize, pos: &[usize], p: f64) {
+    assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+    if p == 0.0 {
+        return;
+    }
+    let k = pos.len();
+    // Block offsets of each target pattern on the row bits / column bits.
+    let (mut rows, mut cols) = (vec![0usize], vec![0usize]);
+    for &b in pos {
+        rows = rows.iter().flat_map(|&r| [r, r | 1 << (b + n)]).collect();
+        cols = cols.iter().flat_map(|&c| [c, c | 1 << b]).collect();
+    }
+    let mut bits: Vec<usize> = pos.iter().flat_map(|&b| [b, b + n]).collect();
+    bits.sort_unstable();
+    let (keep, mix) = (1.0 - p, p / (1usize << k) as f64);
+    // Constant-length slices let the one- and two-qubit channels unroll.
+    match k {
+        1 => depolarize_blocks(rho, &bits[..2], &rows[..2], &cols[..2], keep, mix),
+        2 => depolarize_blocks(rho, &bits[..4], &rows[..4], &cols[..4], keep, mix),
+        _ => depolarize_blocks(rho, &bits, &rows, &cols, keep, mix),
+    }
+}
+
+/// [`depolarize_at`]'s sweep: `bits` are the block's bit positions in
+/// ascending order, `rows[s] | cols[t]` the offset of block entry `(s, t)`.
+#[inline(always)]
+fn depolarize_blocks(
+    rho: &mut [Complex],
+    bits: &[usize],
+    rows: &[usize],
+    cols: &[usize],
+    keep: f64,
+    mix: f64,
+) {
+    for i in 0..rho.len() >> bits.len() {
+        let base = bits.iter().fold(i, |x, &b| insert_zero(x, b));
+        let tr: Complex = rows.iter().zip(cols).map(|(r, c)| rho[base | r | c]).sum();
+        for r in rows {
+            for c in cols {
+                rho[base | r | c] *= keep;
+            }
+        }
+        for (r, c) in rows.iter().zip(cols) {
+            rho[base | r | c] += tr * mix;
         }
     }
 }

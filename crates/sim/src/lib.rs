@@ -6,14 +6,23 @@
 //! durations and error rates (the quantities the paper's quantum-volume
 //! noise model is built from).
 //!
-//! The statevector hot loop runs on **compiled execution plans**
+//! Both simulators run on one core, **compiled execution plans**
 //! ([`ExecPlan`], [`plan`]): a circuit + noise model is specialized once
 //! into a flat stream of `Copy` ops — kernel case pre-classified, matrix
-//! inlined on the stack, bit masks and depolarizing rates precomputed —
-//! and Monte-Carlo trajectory ensembles ([`trajectory`]) replay that
-//! stream with bit-twiddled Pauli injection. [`SimEngine`] provides the
-//! reusable amplitude workspace; the original instruction walk survives as
-//! `run_*_walk` differential references.
+//! inlined on the stack, bit masks and depolarizing rates precomputed,
+//! noiseless gates fused — executed by the in-place kernels of
+//! [`ashn_ir::kernels`].
+//!
+//! * [`SimEngine`] runs plans on a reusable amplitude workspace, and
+//!   Monte-Carlo trajectory ensembles ([`trajectory`]) replay the same
+//!   stream with bit-twiddled Pauli injection. The original instruction
+//!   walk survives as the `run_*_walk` differential references.
+//! * [`DensityMatrix`] stores ρ row-major, which is vec(ρ) as a `2n`-qubit
+//!   vector: row qubit `q` at bit `2n − 1 − q`, column qubit `q` at bit
+//!   `n − 1 − q`. Each plan op runs its kernel at the row bits and its
+//!   complex conjugate at the column bits (vec(UρU†) = (U ⊗ Ū)·vec(ρ)), and
+//!   each depolarizing channel is one in-place sweep over the targets' row
+//!   and column bits ([`density`]).
 //!
 //! ## Example: a noisy Bell pair
 //!

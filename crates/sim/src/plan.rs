@@ -32,6 +32,11 @@
 //! `crates/sim/tests/plan_differential.rs` pins plan execution against it
 //! at `1e-12` (bit-identically when nothing fuses).
 //!
+//! The exact density-matrix simulator ([`crate::density`]) runs the same
+//! plans on vec(ρ): each op at the row bits (its positions shifted by `n`)
+//! and conjugated at the column bits, with each nonzero rate realized as a
+//! depolarizing channel instead of a trajectory draw.
+//!
 //! # Examples
 //!
 //! ```
@@ -227,7 +232,7 @@ impl KernelOp {
 
     /// Applies the op to raw amplitudes, scalar (full range, one thread).
     #[inline]
-    fn apply(&self, amps: &mut [Complex]) {
+    pub(crate) fn apply(&self, amps: &mut [Complex]) {
         self.apply_range(amps, 0, self.index_space(amps.len()));
     }
 
@@ -239,6 +244,91 @@ impl KernelOp {
         run_chunked(amps, space, workers, |a, lo, hi| {
             self.apply_range(a, lo, hi)
         });
+    }
+
+    /// Classifies a single-qubit unitary at bit position `p`: exact Paulis
+    /// get their bit kernels, exact diagonals the phase kernel, anything
+    /// else the dense kernel.
+    pub(crate) fn one_qubit(p: u8, m: Mat2) -> Self {
+        match pauli_of_1q(&m) {
+            Some(Pauli::X) => KernelOp::PauliX { p },
+            Some(Pauli::Y) => KernelOp::PauliY { p },
+            Some(Pauli::Z) => KernelOp::PauliZ { p },
+            None => match diagonal_of_1q(&m) {
+                Some((d0, d1)) => KernelOp::Diag1q { p, d0, d1 },
+                None => KernelOp::Dense1q { p, m },
+            },
+        }
+    }
+
+    /// Classifies a two-qubit unitary at bit positions `(p0, p1)`:
+    /// controlled phases, other exact diagonals, or the dense kernel.
+    pub(crate) fn two_qubit(p0: u8, p1: u8, m: Mat4) -> Self {
+        match diagonal_of_2q(&m) {
+            Some(d) if d[0] == Complex::ONE && d[1] == Complex::ONE && d[2] == Complex::ONE => {
+                KernelOp::CPhase {
+                    p0,
+                    p1,
+                    phase: d[3],
+                }
+            }
+            Some(d) => KernelOp::Diag2q { p0, p1, d },
+            None => KernelOp::Dense2q { p0, p1, m },
+        }
+    }
+
+    /// The same op with every bit position raised by `by`: an `n`-qubit op
+    /// moved onto the row bits of a vectorized `n`-qubit density matrix.
+    pub(crate) fn shifted(&self, by: u8) -> Self {
+        let mut op = *self;
+        match &mut op {
+            KernelOp::Dense1q { p, .. }
+            | KernelOp::Diag1q { p, .. }
+            | KernelOp::PauliX { p }
+            | KernelOp::PauliY { p }
+            | KernelOp::PauliZ { p } => *p += by,
+            KernelOp::Dense2q { p0, p1, .. }
+            | KernelOp::Diag2q { p0, p1, .. }
+            | KernelOp::CPhase { p0, p1, .. } => {
+                *p0 += by;
+                *p1 += by;
+            }
+        }
+        op
+    }
+
+    /// The op applying the entrywise complex conjugate of this op's
+    /// unitary at the same bit positions. `X` and `Z` are real; `conj(Y)`
+    /// is `−Y`, which has no bit kernel, so it becomes a dense op.
+    pub(crate) fn conj(&self) -> Self {
+        match *self {
+            KernelOp::Dense1q { p, m } => KernelOp::Dense1q { p, m: m.conj() },
+            KernelOp::Diag1q { p, d0, d1 } => KernelOp::Diag1q {
+                p,
+                d0: d0.conj(),
+                d1: d1.conj(),
+            },
+            KernelOp::Dense2q { p0, p1, m } => KernelOp::Dense2q {
+                p0,
+                p1,
+                m: m.conj(),
+            },
+            KernelOp::Diag2q { p0, p1, d } => KernelOp::Diag2q {
+                p0,
+                p1,
+                d: d.map(Complex::conj),
+            },
+            KernelOp::CPhase { p0, p1, phase } => KernelOp::CPhase {
+                p0,
+                p1,
+                phase: phase.conj(),
+            },
+            KernelOp::PauliY { p } => KernelOp::Dense1q {
+                p,
+                m: Mat2::from_rows([[Complex::ZERO, Complex::I], [-Complex::I, Complex::ZERO]]),
+            },
+            op @ (KernelOp::PauliX { .. } | KernelOp::PauliZ { .. }) => op,
+        }
     }
 }
 
@@ -343,6 +433,16 @@ impl ExecPlan {
         circuit: &Circuit,
         rate_of: impl Fn(&Instruction) -> f64,
     ) -> Result<Self, PlanError> {
+        Self::build_indexed(circuit, |_, g| rate_of(g))
+    }
+
+    /// [`ExecPlan::build_with`] with `rate_of` also given each
+    /// instruction's index, so a per-instruction rate schedule can be
+    /// compiled without resolving it from the instruction itself.
+    pub(crate) fn build_indexed(
+        circuit: &Circuit,
+        rate_of: impl Fn(usize, &Instruction) -> f64,
+    ) -> Result<Self, PlanError> {
         let _span = ashn_telemetry::span!("sim.plan.build");
         let n = circuit.n_qubits();
         if !(1..=MAX_QUBITS).contains(&n) {
@@ -357,11 +457,11 @@ impl ExecPlan {
         // target trailing noiseless 1q gates are absorbed into).
         let mut pending: Vec<Option<Mat2>> = vec![None; n];
         let mut absorber: Vec<Option<(usize, bool)>> = vec![None; n];
-        for g in circuit.gates() {
+        for (i, g) in circuit.gates().iter().enumerate() {
             if let Some(&q) = g.qubits.iter().find(|&&q| q >= n) {
                 return Err(PlanError::WireOutOfRange { qubit: q, n });
             }
-            let rate = rate_of(g);
+            let rate = rate_of(i, g);
             match g.qubits[..] {
                 [q] => {
                     let m = Mat2::try_from(&g.matrix).expect("1q instruction carries a 2x2 matrix");
@@ -626,17 +726,8 @@ fn classify(n: usize, s: Staged) -> PlanOp {
     match s {
         Staged::One { q, m, rate } => {
             let p = (n - 1 - q) as u8;
-            let kernel = match pauli_of_1q(&m) {
-                Some(Pauli::X) => KernelOp::PauliX { p },
-                Some(Pauli::Y) => KernelOp::PauliY { p },
-                Some(Pauli::Z) => KernelOp::PauliZ { p },
-                None => match diagonal_of_1q(&m) {
-                    Some((d0, d1)) => KernelOp::Diag1q { p, d0, d1 },
-                    None => KernelOp::Dense1q { p, m },
-                },
-            };
             PlanOp {
-                kernel,
+                kernel: KernelOp::one_qubit(p, m),
                 rate,
                 noise_pos: [p, 0],
                 noise_arity: 1,
@@ -645,19 +736,8 @@ fn classify(n: usize, s: Staged) -> PlanOp {
         Staged::Two { q0, q1, m, rate } => {
             let p0 = (n - 1 - q0) as u8;
             let p1 = (n - 1 - q1) as u8;
-            let kernel = match diagonal_of_2q(&m) {
-                Some(d) if d[0] == Complex::ONE && d[1] == Complex::ONE && d[2] == Complex::ONE => {
-                    KernelOp::CPhase {
-                        p0,
-                        p1,
-                        phase: d[3],
-                    }
-                }
-                Some(d) => KernelOp::Diag2q { p0, p1, d },
-                None => KernelOp::Dense2q { p0, p1, m },
-            };
             PlanOp {
-                kernel,
+                kernel: KernelOp::two_qubit(p0, p1, m),
                 rate,
                 noise_pos: [p0, p1],
                 noise_arity: 2,

@@ -456,6 +456,11 @@ impl Compiled {
 
     /// Heavy-output scores at several noise levels, paying the compile and
     /// ideal-run cost once (see [`ashn_qv::score_compiled_many`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the compiled register has more than 12 qubits, the
+    /// density-matrix limit.
     pub fn score_many(&self, noises: &[QvNoise]) -> Vec<CircuitScore> {
         score_compiled_many(&self.model, noises)
     }
