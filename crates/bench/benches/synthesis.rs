@@ -21,16 +21,13 @@ fn bench_two_qubit(c: &mut Criterion) {
             black_box(decompose_cnot(&gates[i]));
         })
     });
-    let mut group = c.benchmark_group("sqisw");
-    group.sample_size(10);
     let mut j = 0;
-    group.bench_function("decompose_sqisw_haar", |b| {
+    c.bench_function("decompose_sqisw_haar", |b| {
         b.iter(|| {
             j = (j + 1) % gates.len();
-            black_box(decompose_sqisw(&gates[j]).unwrap());
+            black_box(decompose_sqisw(&gates[j]));
         })
     });
-    group.finish();
 }
 
 fn bench_multi_qubit(c: &mut Criterion) {

@@ -98,7 +98,7 @@ impl WeylPoint {
             *t -= FRAC_PI_2 * (*t / FRAC_PI_2).round();
         }
         // 2. Sort by decreasing absolute value (permutations are allowed).
-        v.sort_by(|a, b| b.abs().partial_cmp(&a.abs()).unwrap());
+        v.sort_by(|a, b| b.abs().total_cmp(&a.abs()));
         // 3. Pairwise sign flips: push any negativity into z.
         let tol = 1e-15;
         if v[0] < -tol && v[1] < -tol {
@@ -266,5 +266,17 @@ mod tests {
             p.z > 0.0,
             "z must be non-negative on the x=π/4 face, got {p}"
         );
+    }
+
+    #[test]
+    fn nan_coordinates_canonicalize_without_panicking() {
+        for p in [
+            WeylPoint::new(f64::NAN, 0.2, 0.1),
+            WeylPoint::new(0.3, f64::NAN, -0.1),
+            WeylPoint::new(0.3, 0.2, f64::NAN),
+        ] {
+            let q = p.canonicalize();
+            assert!(q.to_array().iter().any(|v| v.is_nan()), "{q}");
+        }
     }
 }

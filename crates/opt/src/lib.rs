@@ -62,8 +62,8 @@ use ashn_ir::{Basis, Circuit};
 /// Acceptance tolerance for resynthesized blocks under
 /// [`OptLevel::Default`]: a replacement is committed only when its realized
 /// unitary is within this Frobenius distance of the block it replaces — the
-/// same fidelity scale the numerical bases (AshN pulse compilation, the
-/// SQiSW interleaver search) synthesize to, so optimization never degrades
+/// same fidelity scale the numerical basis (AshN pulse compilation)
+/// synthesizes to, so optimization never degrades
 /// fidelity below what compilation already delivers.
 pub const OPT_ACCEPT_TOL: f64 = 1e-5;
 

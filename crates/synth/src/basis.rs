@@ -110,7 +110,8 @@ impl Basis for EcrBasis {
 }
 
 /// Flux-tuned SQiSW (√iSWAP): 1–3 applications after Huang et al. [30],
-/// with numerically searched interleavers (gate time `π/4 · 1/g`).
+/// with closed-form interleavers — their two-application formula plus a
+/// fixed SQiSW shift table for three (gate time `π/4 · 1/g`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SqiswBasis;
 
@@ -121,12 +122,7 @@ impl Basis for SqiswBasis {
 
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {
         check_two_qubit(u, "SQiSW")?;
-        decompose_sqisw(u)
-            .map(Into::into)
-            .map_err(|e| SynthError::Convergence {
-                basis: "SQiSW".into(),
-                detail: e.to_string(),
-            })
+        Ok(decompose_sqisw(u).into())
     }
 
     fn expected_entanglers(&self, u: &CMat) -> usize {
@@ -358,6 +354,36 @@ mod tests {
             let c = basis.synthesize(&u).expect("face-band class synthesizes");
             assert!(c.error(&u) < 1e-5, "error {:e}", c.error(&u));
             assert_eq!(c.entangler_count(), 1);
+        }
+    }
+
+    #[test]
+    fn sqisw_synthesizes_the_x_face_classes_the_search_missed() {
+        // The two classes were served degraded (CNOT fallback) when the
+        // interleavers came from a numeric search; the rest pin the face
+        // with both signs of z and the CNOT class, where s + t = 0 in the
+        // closed form and any γ works.
+        let mut rng = StdRng::seed_from_u64(406);
+        let cases = [
+            (0.785359, 0.357139, 0.005869, 1e-12),
+            (0.785203, 0.472045, 0.001998, 1e-12),
+            (FRAC_PI_4, 0.3, 0.2, 1e-12),
+            (FRAC_PI_4, 0.3, -0.2, 1e-12),
+            (FRAC_PI_4, 0.0, 0.0, 1e-7),
+        ];
+        for (x, y, z, tol) in cases {
+            let l = haar_unitary(2, &mut rng).kron(&haar_unitary(2, &mut rng));
+            let r = haar_unitary(2, &mut rng).kron(&haar_unitary(2, &mut rng));
+            let u = l.matmul(&ashn_gates::two::canonical(x, y, z)).matmul(&r);
+            let c = SqiswBasis
+                .synthesize(&u)
+                .unwrap_or_else(|e| panic!("({x}, {y}, {z}): {e}"));
+            assert_eq!(c.entangler_count(), 2, "({x}, {y}, {z})");
+            assert!(
+                c.error(&u) <= tol,
+                "({x}, {y}, {z}): error {:e}",
+                c.error(&u)
+            );
         }
     }
 

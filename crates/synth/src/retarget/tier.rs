@@ -28,7 +28,7 @@ pub fn rule_key(basis: &(impl Basis + ?Sized), rule_label: &str, coords: WeylPoi
 /// exact core by the same serve logic the memo-cache uses. Either way the
 /// served circuit is stored under the pair key (so exact repeats become
 /// plain fetches), the lookup is recorded as [`Lookup::RuleHit`], and the
-/// numeric path — memo-cache, EA, interleaver search — never runs.
+/// numeric path — memo-cache, KAK, EA — never runs.
 ///
 /// Returns `None` when no rule covers the class (or the rule's core
 /// drifted, which the standard table's exactness tests exclude): the

@@ -48,13 +48,45 @@ fn case_digest(gate_set: GateSet, opt: OptLevel) -> u64 {
     })
 }
 
+/// Two-qubit gate count and summed two-qubit duration over d = 3…8.
+fn case_twoq(gate_set: GateSet, opt: OptLevel) -> (usize, f64) {
+    let compiler = Compiler::new().gate_set(gate_set).opt_level(opt);
+    (3..=8).fold((0, 0.0), |(count, duration), d| {
+        let model = sample_model_circuit(d, &mut StdRng::seed_from_u64(1000 + d as u64));
+        let compiled = compiler.compile(&model).expect("compiles");
+        let circuit = compiled.circuit();
+        (
+            count + circuit.entangler_count(),
+            duration + circuit.entangler_duration(),
+        )
+    })
+}
+
+/// The SQiSW digests move whenever the interleaver matrices do; this pins
+/// what must not move with them: which two-qubit gates are emitted.
+#[test]
+fn sqisw_two_qubit_profile_is_pinned() {
+    let cases = [
+        (OptLevel::None, 379, 0x4072_9aa7_8ae0_775a),
+        (OptLevel::Default, 329, 0x4070_2655_ffa5_cef4),
+    ];
+    for (opt, count, duration_bits) in cases {
+        let (got_count, got_duration) = case_twoq(GateSet::Sqisw, opt);
+        assert_eq!(
+            (got_count, got_duration.to_bits()),
+            (count, duration_bits),
+            "{opt:?}: {got_count} gates, duration {got_duration}"
+        );
+    }
+}
+
 #[test]
 fn facade_output_matches_the_pinned_digests() {
     let cases = [
         (GateSet::Cz, OptLevel::None, 0xc19f_dfb7_bea8_c757),
         (GateSet::Cz, OptLevel::Default, 0xf109_4b6c_a471_1b17),
-        (GateSet::Sqisw, OptLevel::None, 0x6b9f_774a_39f6_cd67),
-        (GateSet::Sqisw, OptLevel::Default, 0xdecf_2605_c58f_d43e),
+        (GateSet::Sqisw, OptLevel::None, 0x07a2_cb18_d954_605d),
+        (GateSet::Sqisw, OptLevel::Default, 0x10cb_5fe5_cfc0_1abc),
         (
             GateSet::Ashn { cutoff: 1.1 },
             OptLevel::None,
